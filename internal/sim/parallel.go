@@ -71,7 +71,8 @@ const (
 // overlap to the stream start — state reconstruction is then bit-exact
 // and only the corrected boundary residue remains; long runs pay a
 // constant (K-1) x WarmupOverlap redundant instructions, amortized as
-// runs grow past the L2 horizon.
+// runs grow past the L2 horizon (a trace run's splitRun spreads them
+// across its segments).
 func WarmupOverlap(cfg uarch.Config) int64 {
 	l2 := cfg.Hierarchy.L2
 	ov := int64(l2.SizeBytes/l2.LineBytes) * overlapPerL2Line
@@ -112,12 +113,74 @@ func Segments(s Spec) int {
 	return clampSegments(s.Insts, s.Parallel)
 }
 
-// splitRun partitions warm+insts stream positions into k segments:
-// measured instructions are split as evenly as possible (earlier
-// segments take the remainder), the first segment absorbs the whole
-// warmup prefix, and every later segment is fronted by min(overlap,
-// meas) unmeasured overlap instructions.
-func splitRun(warm, insts int64, k int, overlap int64) []segment {
+// splitRun plans the k segments of a trace run of warm+insts stream
+// positions. Segment 0 absorbs the warmup prefix; every later segment
+// is fronted by an unmeasured overlap prefix of up to overlap
+// instructions; every segment but the last is followed by an
+// unmeasured drain suffix of drain instructions (see runSegment). The
+// run waits for its slowest segment, so the plan balances what each
+// engine is fed, not what it measures:
+//
+//	segment 0:      warm    + n₀   + drain
+//	segment 0<i<k−1: overlap + nᵢ   + drain
+//	segment k−1:    overlap + nₖ₋₁
+//
+// all equal up to rounding. It falls back to evenSplit when
+//   - a later segment's overlap would reach back to the stream start:
+//     a short run keeps the even split and its bit-exact state
+//     reconstruction;
+//   - a segment would measure fewer than minSegment instructions (the
+//     warmup alone outweighs a balanced share).
+//
+// Synthetic runs keep evenSplit: their segments position the generator
+// by discarding a prefix the plan does not count (DESIGN.md §15.5).
+func splitRun(warm, insts int64, k int, overlap, drain int64) []segment {
+	even := evenSplit(warm, insts, k, overlap)
+	if k < 2 {
+		return even
+	}
+	// fixed(i) is what segment i feeds besides its measured slice.
+	fixed := func(i int) int64 {
+		f := overlap
+		if i == 0 {
+			f = warm
+		}
+		if i < k-1 {
+			f += drain
+		}
+		return f
+	}
+	total := insts
+	for i := 0; i < k; i++ {
+		total += fixed(i)
+	}
+	share, rem := total/int64(k), total%int64(k)
+	segs := make([]segment, 0, k)
+	meas := warm
+	for i := 0; i < k; i++ {
+		n := share - fixed(i)
+		if int64(i) < rem {
+			n++
+		}
+		start := meas - overlap
+		if i == 0 {
+			start = 0
+		}
+		if n < minSegment || start < 0 {
+			return even
+		}
+		segs = append(segs, segment{start: start, meas: meas, end: meas + n})
+		meas += n
+	}
+	return segs
+}
+
+// evenSplit partitions warm+insts stream positions into k segments
+// measuring as evenly as possible (earlier segments take the
+// remainder): the first segment absorbs the whole warmup prefix, and
+// every later segment is fronted by min(overlap, meas) unmeasured
+// overlap instructions.
+func evenSplit(warm, insts int64, k int, overlap int64) []segment {
 	segs := make([]segment, 0, k)
 	base := insts / int64(k)
 	rem := insts % int64(k)
@@ -130,9 +193,6 @@ func splitRun(warm, insts int64, k int, overlap int64) []segment {
 		meas := warm + off
 		start := meas - overlap
 		if i == 0 || start < 0 {
-			start = 0
-		}
-		if i == 0 {
 			start = 0 // the warmup prefix is segment 0's overlap
 		}
 		segs = append(segs, segment{start: start, meas: meas, end: meas + n})
@@ -174,7 +234,7 @@ func discard(ctx context.Context, src trace.Source, n int64) error {
 // of the pool, so a saturated serving layer recycles allocations
 // across both requests and segments.
 func (p *Pool) runParallel(ctx context.Context, s Spec, overlap, parseStart int64) (*epoch.Stats, error) {
-	segs := splitRun(s.Warm, s.Insts, Segments(s), overlap)
+	segs := evenSplit(s.Warm, s.Insts, Segments(s), overlap)
 	o := obs.FromContext(ctx)
 	var run uint32
 	if o != nil && o.Tracer != nil {
@@ -263,7 +323,7 @@ func (p *Pool) RunTraceParallel(ctx context.Context, data []byte, cfg uarch.Conf
 		return nil, fmt.Errorf("sim: trace holds %d instructions, warmup %d leaves nothing to measure", total, warm)
 	}
 	k := clampSegments(insts, segments)
-	segs := splitRun(warm, insts, k, WarmupOverlap(cfg))
+	segs := splitRun(warm, insts, k, WarmupOverlap(cfg), cfg.OverlapWindow())
 	o := obs.FromContext(ctx)
 	var run uint32
 	if o != nil && o.Tracer != nil {

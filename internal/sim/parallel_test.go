@@ -5,6 +5,7 @@ import (
 	"context"
 	"fmt"
 	"math"
+	"reflect"
 	"testing"
 
 	"storemlp/internal/epoch"
@@ -15,46 +16,101 @@ import (
 )
 
 func TestSplitRunInvariants(t *testing.T) {
+	drain := uarch.Default().OverlapWindow()
+	// fed is what segment i of segs feeds its engine: overlap (or
+	// warmup), measured slice, and the drain suffix of every segment but
+	// the last.
+	fed := func(segs []segment, i int) int64 {
+		n := segs[i].end - segs[i].start
+		if i < len(segs)-1 {
+			n += drain
+		}
+		return n
+	}
 	for _, tc := range []struct {
+		name        string
 		warm, insts int64
 		k           int
 		overlap     int64
+		balanced    bool // false: the plan must be evenSplit's
 	}{
-		{10_000, 20_000, 4, 16_384},
-		{0, 500_000, 8, 16_384},
-		{1_000_000, 500_000, 3, 4_096},
-		{5, 7, 2, 3},
-		{0, 1, 1, 16_384},
+		{"short-min-segment", 10_000, 20_000, 4, 16_384, false},
+		{"no-warmup", 0, 500_000, 8, 16_384, true},
+		{"warmup-outweighs-share", 1_000_000, 500_000, 3, 4_096, false},
+		{"tiny", 5, 7, 2, 3, false},
+		{"one-segment", 0, 1, 1, 16_384, false},
+		{"trace-test", 8_000, 40_000, 4, 262_144, false},
+		{"replay-k2", 100_000, 1_100_000, 2, 262_144, true},
+		{"replay-k4", 100_000, 1_100_000, 4, 262_144, true},
+		{"500k-k4", 100_000, 500_000, 4, 262_144, true},
+		{"long-warmup", 1_000_000, 2_000_000, 2, 262_144, true},
 	} {
-		segs := splitRun(tc.warm, tc.insts, tc.k, tc.overlap)
+		segs := splitRun(tc.warm, tc.insts, tc.k, tc.overlap, drain)
 		if len(segs) != tc.k {
-			t.Fatalf("splitRun(%+v): %d segments, want %d", tc, len(segs), tc.k)
+			t.Fatalf("%s: %d segments, want %d", tc.name, len(segs), tc.k)
 		}
 		var measured int64
 		for i, sg := range segs {
 			if sg.start < 0 || sg.start > sg.meas || sg.meas >= sg.end {
-				t.Fatalf("segment %d malformed: %+v", i, sg)
+				t.Fatalf("%s: segment %d malformed: %+v", tc.name, i, sg)
 			}
 			if i == 0 {
 				if sg.start != 0 || sg.meas != tc.warm {
-					t.Fatalf("segment 0 must absorb the warmup: %+v", sg)
+					t.Fatalf("%s: segment 0 must absorb the warmup: %+v", tc.name, sg)
 				}
 			} else {
 				if sg.meas != segs[i-1].end {
-					t.Fatalf("segment %d does not abut its predecessor: %+v after %+v", i, sg, segs[i-1])
+					t.Fatalf("%s: segment %d does not abut its predecessor: %+v after %+v", tc.name, i, sg, segs[i-1])
 				}
 				if ov := sg.meas - sg.start; ov != tc.overlap && sg.start != 0 {
-					t.Fatalf("segment %d overlap %d, want %d (or clamped to stream start)", i, ov, tc.overlap)
+					t.Fatalf("%s: segment %d overlap %d, want %d (or clamped to stream start)", tc.name, i, ov, tc.overlap)
 				}
 			}
 			measured += sg.end - sg.meas
 		}
 		if measured != tc.insts {
-			t.Fatalf("segments measure %d insts, want %d", measured, tc.insts)
+			t.Fatalf("%s: segments measure %d insts, want %d", tc.name, measured, tc.insts)
 		}
 		if last := segs[len(segs)-1]; last.end != tc.warm+tc.insts {
-			t.Fatalf("last segment ends at %d, want %d", last.end, tc.warm+tc.insts)
+			t.Fatalf("%s: last segment ends at %d, want %d", tc.name, last.end, tc.warm+tc.insts)
 		}
+
+		even := evenSplit(tc.warm, tc.insts, tc.k, tc.overlap)
+		if !tc.balanced {
+			if !reflect.DeepEqual(segs, even) {
+				t.Errorf("%s: plan %+v, want the even split %+v", tc.name, segs, even)
+			}
+			continue
+		}
+		// Balance: no overlap reaches back to the stream start, every
+		// segment measures a worthwhile slice, and the engines are fed
+		// the same number of instructions up to rounding.
+		lo, hi := fed(segs, 0), fed(segs, 0)
+		for i, sg := range segs {
+			if i > 0 && sg.start != sg.meas-tc.overlap {
+				t.Errorf("%s: segment %d overlap reaches back to the stream start: %+v", tc.name, i, sg)
+			}
+			if sg.end-sg.meas < minSegment {
+				t.Errorf("%s: segment %d measures %d < %d insts", tc.name, i, sg.end-sg.meas, minSegment)
+			}
+			lo, hi = min(lo, fed(segs, i)), max(hi, fed(segs, i))
+		}
+		if hi-lo > 1 {
+			t.Errorf("%s: fed counts span %d..%d, want equal up to rounding: %+v", tc.name, lo, hi, segs)
+		}
+	}
+
+	// A short run, where every overlap reaches back to the stream
+	// start, keeps the old even split exactly.
+	wantShort := []segment{{0, 10_000, 15_000}, {0, 15_000, 20_000}, {0, 20_000, 25_000}, {0, 25_000, 30_000}}
+	if got := splitRun(10_000, 20_000, 4, 262_144, drain); !reflect.DeepEqual(got, wantShort) {
+		t.Errorf("short run: plan %+v, want %+v", got, wantShort)
+	}
+	// The replay shape moves the boundary from the even 650,000 to the
+	// balanced point: both engines are fed 731,299 instructions.
+	wantReplay := []segment{{0, 100_000, 730_845}, {468_701, 730_845, 1_200_000}}
+	if got := splitRun(100_000, 1_100_000, 2, 262_144, drain); !reflect.DeepEqual(got, wantReplay) {
+		t.Errorf("replay shape: plan %+v, want %+v", got, wantReplay)
 	}
 }
 
@@ -233,6 +289,32 @@ func TestOverlapSweep(t *testing.T) {
 	}
 }
 
+// serialTrace encodes warm+insts instructions of w as a columnar trace
+// and runs it through a fresh serial engine: the reference for the
+// parallel trace path.
+func serialTrace(t *testing.T, w workload.Params, cfg uarch.Config, warm, insts int64) ([]byte, *epoch.Stats) {
+	t.Helper()
+	var buf bytes.Buffer
+	if _, err := trace.WriteAllFormat(&buf, BuildSource(w, cfg, insts+warm), trace.FormatColumnar); err != nil {
+		t.Fatal(err)
+	}
+	data := buf.Bytes()
+	r, err := colv1.NewBytesReader(data)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg.WarmInsts = warm
+	eng, err := epoch.New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	serial, err := eng.RunContext(context.Background(), r)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return data, serial
+}
+
 // TestParallelTrace drives the same columnar trace through the serial
 // and parallel trace paths: K=1 must be bit-exact; K=4 keeps the
 // overlap-invariant counters exact and the rest within tolerance.
@@ -242,26 +324,7 @@ func TestParallelTrace(t *testing.T) {
 		warm  = 8_000
 	)
 	cfg := uarch.Default()
-	var buf bytes.Buffer
-	if _, err := trace.WriteAllFormat(&buf, BuildSource(workload.TPCW(1), cfg, insts+warm), trace.FormatColumnar); err != nil {
-		t.Fatal(err)
-	}
-	data := buf.Bytes()
-
-	serialR, err := colv1.NewBytesReader(data)
-	if err != nil {
-		t.Fatal(err)
-	}
-	serialCfg := cfg
-	serialCfg.WarmInsts = warm
-	eng, err := epoch.New(serialCfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	serial, err := eng.RunContext(context.Background(), serialR)
-	if err != nil {
-		t.Fatal(err)
-	}
+	data, serial := serialTrace(t, workload.TPCW(1), cfg, warm, insts)
 
 	pool := NewPool()
 	one, err := pool.RunTraceParallel(context.Background(), data, cfg, warm, 1)
@@ -279,6 +342,51 @@ func TestParallelTrace(t *testing.T) {
 	exactCounters(t, "trace K=4", par, serial)
 	if d := math.Abs(par.EPI()-serial.EPI()) / math.Max(serial.EPI(), 1e-9); d > driftTolerance {
 		t.Errorf("trace K=4: EPI drift %.4f%% exceeds %.2f%%", 100*d, 100*driftTolerance)
+	}
+}
+
+// TestParallelTraceProductionScale holds the trace path to the
+// accuracy contract where its segments start mid-stream. At
+// TestParallelTrace's scale every overlap reaches back to the stream
+// start, so state reconstruction is trivially exact (DESIGN.md §15.3);
+// here — the replay benchmark's shape, 100k warmup and 1.1M measured
+// instructions — every later segment starts at a balanced boundary deep
+// in the trace and only its overlap rebuilds the machine state.
+func TestParallelTraceProductionScale(t *testing.T) {
+	if testing.Short() {
+		t.Skip("production-scale traces are seconds of simulation")
+	}
+	const (
+		warm  = 100_000
+		insts = 1_100_000
+	)
+	cfg := uarch.Default()
+	ov := WarmupOverlap(cfg)
+	pool := NewPool()
+	for _, w := range workload.All(1) {
+		data, serial := serialTrace(t, w, cfg, warm, insts)
+		for _, k := range []int{2, 4} {
+			name := fmt.Sprintf("%s K=%d", w.Name, k)
+			if segs := splitRun(warm, insts, k, ov, cfg.OverlapWindow()); segs[1].start == 0 {
+				t.Fatalf("%s: segment 1 starts at the stream start; the case tests nothing", name)
+			}
+			par, err := pool.RunTraceParallel(context.Background(), data, cfg, warm, k)
+			if err != nil {
+				t.Fatalf("%s: %v", name, err)
+			}
+			exactCounters(t, name, par, serial)
+			epiDrift := math.Abs(par.EPI()-serial.EPI()) / math.Max(serial.EPI(), 1e-9)
+			missDrift := relDrift(par.Misses(), serial.Misses())
+			t.Logf("%s: EPI drift %.4f%%, miss drift %.4f%%", name, 100*epiDrift, 100*missDrift)
+			if epiDrift > driftTolerance {
+				t.Errorf("%s: EPI drift %.4f%% exceeds %.2f%% (serial %.4f, parallel %.4f)",
+					name, 100*epiDrift, 100*driftTolerance, serial.EPI(), par.EPI())
+			}
+			if missDrift > driftTolerance {
+				t.Errorf("%s: miss drift %.4f%% exceeds %.2f%% (serial %d, parallel %d)",
+					name, 100*missDrift, 100*driftTolerance, serial.Misses(), par.Misses())
+			}
+		}
 	}
 }
 

@@ -57,9 +57,10 @@ func (p *Pool) Run(s Spec) (*epoch.Stats, error) {
 	return p.RunContext(context.Background(), s)
 }
 
-// RunContext is Run with cancellation. It is a drop-in replacement for
-// the package-level RunContext: the recycled engine is reconfigured to
-// an observationally fresh state first, so results are identical.
+// RunContext is Run with cancellation. The recycled engine is
+// reconfigured to an observationally fresh state first, so results are
+// identical to a fresh engine's; the package-level RunContext runs
+// here on a pool of its own.
 func (p *Pool) RunContext(ctx context.Context, s Spec) (*epoch.Stats, error) {
 	parseStart := obs.Now()
 	if err := s.Validate(); err != nil {

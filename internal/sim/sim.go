@@ -89,9 +89,8 @@ func Run(s Spec) (*epoch.Stats, error) {
 }
 
 // prepare derives the engine configuration and options from a
-// validated spec; it is shared by the one-shot RunContext and the
-// engine Pool. It is segmentOptions at stream position zero — the
-// whole-run case.
+// validated spec for a serial run. It is segmentOptions at stream
+// position zero — the whole-run case.
 func prepare(s Spec) (uarch.Config, []epoch.Option) {
 	cfg := s.Uarch
 	cfg.WarmInsts = s.Warm
@@ -135,26 +134,11 @@ func segmentOptions(ctx context.Context, s Spec, start int64) ([]epoch.Option, e
 // When ctx carries an *obs.Obs (obs.NewContext), the run publishes
 // tracer spans and live progress snapshots into it. A Spec with
 // Parallel > 1 fans out across segment engines (see parallel.go).
+// Every call builds its engines afresh on a pool of its own, and the
+// result is a copy the caller owns, so keeping it does not keep the
+// engine alive.
 func RunContext(ctx context.Context, s Spec) (*epoch.Stats, error) {
-	parseStart := obs.Now()
-	if err := s.Validate(); err != nil {
-		return nil, err
-	}
-	if Segments(s) > 1 {
-		return NewPool().runParallel(ctx, s, WarmupOverlap(s.Uarch), parseStart)
-	}
-	cfg, opts := prepare(s)
-	eng, err := epoch.New(cfg, opts...)
-	if err != nil {
-		return nil, err
-	}
-	src := BuildSource(s.Workload, cfg, s.Warm+s.Insts)
-	release := observeFrom(obs.FromContext(ctx), eng, runLabel(s), s.Warm+s.Insts, parseStart)
-	defer release()
-	rt, parent := obs.SpanFrom(ctx)
-	sp := rt.StartSpan(obs.StageSimulate, parent)
-	defer rt.EndSpan(sp, s.Insts)
-	return eng.RunContext(ctx, src)
+	return NewPool().RunContext(ctx, s)
 }
 
 // runLabel names a run the way the paper labels bars: workload plus

@@ -99,11 +99,13 @@ echo '>> go test -race -cpu 1,2,4 -short (parallel fan-out, merge algebra, span 
 # span tree is written from sweep points and segment goroutines
 # concurrently; re-run their tests at several GOMAXPROCS values so real
 # interleavings (not just the single-P schedule) pass the race
-# detector. -short drops the golden accuracy grid and overlap sweep —
-# they measure drift, not concurrency, and already ran once in the full
-# -race stage above.
+# detector. TestPool* hand the engines of one pool back and forth
+# between concurrent calls. -short drops the golden accuracy grid, the
+# overlap sweep and the production-scale trace case — they measure
+# drift, not concurrency, and already ran once in the full -race stage
+# above.
 go test -race -short -cpu 1,2,4 \
-    -run 'TestParallel|TestSplitRun|TestSegments|TestOverlapSweep|TestMerge|TestDefaultParallel|TestSpan' \
+    -run 'TestParallel|TestSplitRun|TestSegments|TestOverlapSweep|TestMerge|TestDefaultParallel|TestSpan|TestPool' \
     ./internal/sim/ ./internal/server/ .
 
 echo '>> benchmark smoke (1 iteration) + benchdiff report'
